@@ -1,11 +1,11 @@
 //! Interference-model cost at 1/8/32 co-running tasks.
 //!
-//! `compute_into` sits inside `Machine::tick`, the innermost loop of the
+//! `compute_cols` sits inside `Machine::tick`, the innermost loop of the
 //! fleet simulator, so its per-call cost bounds simulator throughput. The
-//! scratch-buffer variant is benchmarked against the allocating wrapper to
-//! keep the allocation-free refactor honest.
+//! allocating array-of-structs `compute` is benchmarked beside it to show
+//! what the columnar, buffer-reusing kernel saves.
 
-use cpi2_sim::interference::{self, ComputeScratch, InterferenceParams, TaskLoad};
+use cpi2_sim::interference::{self, InterferenceParams, ProfileColumns, TaskLoad};
 use cpi2_sim::{Platform, ResourceProfile};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -26,6 +26,26 @@ fn mixed_loads(n: usize) -> Vec<TaskLoad> {
         .collect()
 }
 
+/// Times `compute_cols` over `loads` split into columns, with output
+/// buffers reused across iterations as the machine tick reuses them.
+fn bench_cols(c: &mut Criterion, name: String, loads: &[TaskLoad]) {
+    let platform = Platform::westmere();
+    let params = InterferenceParams::default();
+    let activity: Vec<f64> = loads.iter().map(|l| l.activity).collect();
+    let mut cols = ProfileColumns::default();
+    for l in loads {
+        cols.push(&l.profile);
+    }
+    c.bench_function(name, |b| {
+        let (mut cpi, mut mpki) = (Vec::new(), Vec::new());
+        b.iter(|| {
+            black_box(interference::compute_cols(
+                &platform, &activity, &cols, &params, &mut cpi, &mut mpki,
+            ))
+        })
+    });
+}
+
 fn bench_interference(c: &mut Criterion) {
     let platform = Platform::westmere();
     let params = InterferenceParams::default();
@@ -37,19 +57,7 @@ fn bench_interference(c: &mut Criterion) {
             b.iter(|| black_box(interference::compute(&platform, &loads, &params)))
         });
 
-        c.bench_function(format!("interference/compute_into ({n} tasks)"), |b| {
-            let mut out = Vec::new();
-            let mut scratch = ComputeScratch::default();
-            b.iter(|| {
-                black_box(interference::compute_into(
-                    &platform,
-                    &loads,
-                    &params,
-                    &mut out,
-                    &mut scratch,
-                ))
-            })
-        });
+        bench_cols(c, format!("interference/compute_cols ({n} tasks)"), &loads);
     }
 
     // The zero-activity fast path: what an all-idle machine pays per tick.
@@ -60,19 +68,7 @@ fn bench_interference(c: &mut Criterion) {
             l
         })
         .collect();
-    c.bench_function("interference/compute_into (8 idle tasks)", |b| {
-        let mut out = Vec::new();
-        let mut scratch = ComputeScratch::default();
-        b.iter(|| {
-            black_box(interference::compute_into(
-                &platform,
-                &idle,
-                &params,
-                &mut out,
-                &mut scratch,
-            ))
-        })
-    });
+    bench_cols(c, "interference/compute_cols (8 idle tasks)".into(), &idle);
 }
 
 criterion_group!(benches, bench_interference);

@@ -32,6 +32,7 @@ use cpi2::sim::{Cluster, ClusterConfig, JobSpec, Platform, SimDuration};
 use cpi2::telemetry::Telemetry;
 use cpi2::workloads;
 use cpi2_bench::args::Args;
+use cpi2_bench::gate::{Baseline, Floor};
 use cpi2_bench::sampling::{run_sampled, simulate_cell, FleetModel, SamplingConfig};
 use cpi2_core::{CpiSample, TaskClass, TaskHandle};
 use std::time::Instant;
@@ -180,18 +181,6 @@ fn measure_sampled(repeat: u32) -> f64 {
     best
 }
 
-/// Pulls `"key": <number>` out of a flat JSON object (hand-rolled: the
-/// gate must not trust a vendored parser with its own gate inputs).
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let args = Args::new();
     let machines: u32 = args.parsed("--machines", 400);
@@ -219,11 +208,8 @@ fn main() {
     println!("  wrote {out_path}");
 
     if let Some(base_path) = baseline {
-        let base_text = std::fs::read_to_string(&base_path)
-            .unwrap_or_else(|e| panic!("read baseline {base_path}: {e}"));
-        let base = json_f64(&base_text, "machine_ticks_per_sec")
-            .unwrap_or_else(|| panic!("baseline {base_path} has no machine_ticks_per_sec"));
-        let floor = base * (1.0 - max_regress);
+        let baseline = Baseline::read(&base_path, max_regress);
+        let Floor { base, floor } = baseline.required_floor("machine_ticks_per_sec");
         println!(
             "  baseline {base:.0} ticks/sec, floor {floor:.0} (max regress {:.0}%)",
             max_regress * 100.0
@@ -238,8 +224,11 @@ fn main() {
         }
         // The sampled-mode gate only arms once the baseline records the
         // key — older committed baselines stay valid untouched.
-        if let Some(base_sampled) = json_f64(&base_text, "sampled_ticks_per_sec") {
-            let sampled_floor = base_sampled * (1.0 - max_regress);
+        if let Some(Floor {
+            base: base_sampled,
+            floor: sampled_floor,
+        }) = baseline.floor("sampled_ticks_per_sec")
+        {
             println!("  sampled baseline {base_sampled:.0} ticks/sec, floor {sampled_floor:.0}");
             if sampled_ticks_per_sec < sampled_floor {
                 eprintln!(

@@ -21,21 +21,10 @@
 
 use cpi2::sim::SimDuration;
 use cpi2_bench::args::Args;
+use cpi2_bench::gate::{Baseline, Floor};
 use cpi2_bench::plot;
 use cpi2_bench::sampling::{run_sampled, simulate_cell, FleetModel, SamplingConfig, METRIC_NAMES};
 use std::time::Instant;
-
-/// Pulls `"key": <number>` out of a flat JSON object (hand-rolled: the
-/// gate must not trust a vendored parser with its own gate inputs).
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 fn main() {
     let args = Args::new();
@@ -143,11 +132,8 @@ fn main() {
     println!("wrote {out_path}");
 
     if let Some(base_path) = baseline {
-        let base_text = std::fs::read_to_string(&base_path)
-            .unwrap_or_else(|e| panic!("read baseline {base_path}: {e}"));
-        let base = json_f64(&base_text, "effective_fleet_ticks_per_sec")
-            .unwrap_or_else(|| panic!("baseline {base_path} has no effective_fleet_ticks_per_sec"));
-        let floor = base * (1.0 - max_regress);
+        let Floor { base, floor } =
+            Baseline::read(&base_path, max_regress).required_floor("effective_fleet_ticks_per_sec");
         println!(
             "baseline {base:.0} effective ticks/s, floor {floor:.0} (max regress {:.0}%)",
             max_regress * 100.0

@@ -34,6 +34,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cpi2_bench::args::Args;
+use cpi2_bench::gate::{Baseline, Floor};
 use cpi2_bench::serve_load::{
     build_serve_fleet, measure_publish_cost, run_load, LoadConfig, LoadReport,
 };
@@ -69,18 +70,6 @@ fn run_against_live_harness(machines: u32, seed: u64, cfg: LoadConfig) -> (LoadR
     let text = sh.inner().telemetry().prometheus_text().unwrap_or_default();
     let no_panics = text.contains("cpi_serve_handler_panics_total 0");
     (report, no_panics)
-}
-
-/// Pulls `"key": <number>` out of a flat JSON object (hand-rolled: the
-/// gate must not trust a vendored parser with its own gate inputs).
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {
@@ -216,11 +205,8 @@ fn main() {
         ));
     }
     if let Some(base_path) = baseline {
-        let base_text = std::fs::read_to_string(&base_path)
-            .unwrap_or_else(|e| panic!("read baseline {base_path}: {e}"));
-        let base = json_f64(&base_text, "keepalive_rps")
-            .unwrap_or_else(|| panic!("baseline {base_path} has no keepalive_rps"));
-        let floor = base * (1.0 - max_regress);
+        let Floor { base, floor } =
+            Baseline::read(&base_path, max_regress).required_floor("keepalive_rps");
         println!(
             "  baseline {base:.0} req/s, floor {floor:.0} (max regress {:.0}%)",
             max_regress * 100.0

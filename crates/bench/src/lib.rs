@@ -14,6 +14,7 @@
 
 pub mod accuracy;
 pub mod args;
+pub mod gate;
 pub mod metrics;
 pub mod plot;
 pub mod probe;

@@ -14,8 +14,9 @@ use crate::config::Cpi2Config;
 use crate::sample::{CpiSample, JobKey};
 use crate::spec::CpiSpec;
 use crate::specbuilder::SpecBuilder;
-use parking_lot::Mutex;
+use cpi2_telemetry::sync::MutexExt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Default shard count for the aggregation service.
 pub const DEFAULT_SPEC_SHARDS: usize = 8;
@@ -149,7 +150,7 @@ impl ShardedSpecBuilder {
         let Some(shard) = self.shards.get(idx) else {
             return;
         };
-        let mut b = shard.builder.lock();
+        let mut b = shard.builder.locked();
         b.add_sample(sample);
         // Under the lock, so a concurrent roll either sees the flag or
         // has not yet consumed the sample.
@@ -174,7 +175,7 @@ impl ShardedSpecBuilder {
             if bucket.is_empty() {
                 continue;
             }
-            let mut b = shard.builder.lock();
+            let mut b = shard.builder.locked();
             for s in bucket {
                 b.add_sample(s);
             }
@@ -188,7 +189,7 @@ impl ShardedSpecBuilder {
         // idx is h % shards.len(); an out-of-range shard means no samples.
         self.shards
             .get(idx)
-            .map_or(0, |s| s.builder.lock().period_samples(key))
+            .map_or(0, |s| s.builder.locked().period_samples(key))
     }
 
     /// Folds the current period into history on every *dirty* shard and
@@ -205,13 +206,13 @@ impl ShardedSpecBuilder {
         for shard in &self.shards {
             let timer = self.shard_build_us.timer();
             if shard.dirty.swap(false, Ordering::AcqRel) {
-                let rolled = shard.builder.lock().roll_period();
+                let rolled = shard.builder.locked().roll_period();
                 out.extend(rolled.iter().cloned());
-                *shard.rolled.lock() = rolled;
+                *shard.rolled.locked() = rolled;
             } else {
                 self.skipped.fetch_add(1, Ordering::Relaxed);
                 self.skipped_counter.inc();
-                out.extend(shard.rolled.lock().iter().cloned());
+                out.extend(shard.rolled.locked().iter().cloned());
             }
             timer.stop();
         }
@@ -224,7 +225,7 @@ impl ShardedSpecBuilder {
         let mut out: Vec<CpiSpec> = Vec::new();
         for shard in &self.shards {
             let timer = self.shard_build_us.timer();
-            out.extend(shard.builder.lock().specs());
+            out.extend(shard.builder.locked().specs());
             timer.stop();
         }
         Self::sort_specs(&mut out);

@@ -344,23 +344,27 @@ mod tests {
 
     #[test]
     fn direct_cycle_between_two_functions() {
-        let src = "impl S {\n\
-             fn a(&self) { let g = self.x.lock(); let h = self.y.lock(); }\n\
-             fn b(&self) { let g = self.y.lock(); let h = self.x.lock(); }\n\
-             }";
-        let out = run(&[analyze("s.rs", src)]);
-        assert_eq!(out.len(), 1, "{out:#?}");
-        assert_eq!(out[0].rule, Rule::LockCycle);
-        assert!(
-            out[0].message.contains("`S.x` → `S.y`"),
-            "{}",
-            out[0].message
-        );
-        assert!(
-            out[0].message.contains("`S.y` → `S.x`"),
-            "{}",
-            out[0].message
-        );
+        for lock in ["lock", "locked", "write_locked"] {
+            let src = format!(
+                "impl S {{\n\
+                 fn a(&self) {{ let g = self.x.{lock}(); let h = self.y.{lock}(); }}\n\
+                 fn b(&self) {{ let g = self.y.{lock}(); let h = self.x.{lock}(); }}\n\
+                 }}"
+            );
+            let out = run(&[analyze("s.rs", &src)]);
+            assert_eq!(out.len(), 1, "`.{lock}()`: {out:#?}");
+            assert_eq!(out[0].rule, Rule::LockCycle);
+            assert!(
+                out[0].message.contains("`S.x` → `S.y`"),
+                "{}",
+                out[0].message
+            );
+            assert!(
+                out[0].message.contains("`S.y` → `S.x`"),
+                "{}",
+                out[0].message
+            );
+        }
     }
 
     #[test]

@@ -696,7 +696,16 @@ fn is_keyword(s: &str) -> bool {
     )
 }
 
-const LOCK_METHODS: [&str; 3] = ["lock", "read", "write"];
+/// Lock acquisitions: the plain spellings, and the poison-recovering
+/// `std::sync` helpers of `cpi2_telemetry::sync` that the workspace uses.
+const LOCK_METHODS: [&str; 6] = [
+    "lock",
+    "read",
+    "write",
+    "locked",
+    "read_locked",
+    "write_locked",
+];
 
 /// True if tokens at `i` form `. lock ( )` (no arguments) and `i` is the
 /// method name.

@@ -84,7 +84,7 @@ fn slice_index_fixture_pair() {
 
 #[test]
 fn nested_lock_fixture_pair() {
-    assert_pair(Rule::NestedLock, 1);
+    assert_pair(Rule::NestedLock, 2);
 }
 
 #[test]

@@ -1,16 +1,17 @@
 //! Cluster-wide sample collection (the left half of Fig. 6).
 //!
 //! Per-machine agents push CPI sample batches into a per-cluster
-//! collector over a channel; the collector fans them into the aggregation
-//! service and the forensics log. Channels are `crossbeam` MPMC so a
-//! threaded deployment can run many agent threads against one collector.
+//! collector over a bounded `std::sync::mpsc` channel; the collector fans
+//! them into the aggregation service and the forensics log. Handles are
+//! `Clone + Send + Sync`, so a threaded deployment can run many agent
+//! threads against one collector.
 
 use crate::aggregator::Aggregator;
 use cpi2_core::{CpiSample, Incident};
-use cpi2_telemetry::{Counter, Gauge, Telemetry};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use cpi2_telemetry::{Counter, Telemetry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 
 /// A message from a machine agent to the cluster collector.
@@ -25,7 +26,7 @@ pub enum AgentMessage {
 /// Sending side handed to each machine agent.
 #[derive(Debug, Clone)]
 pub struct CollectorHandle {
-    tx: Sender<AgentMessage>,
+    tx: SyncSender<AgentMessage>,
     dropped: Arc<AtomicU64>,
     metrics: CollectorMetrics,
 }
@@ -40,8 +41,6 @@ struct CollectorMetrics {
     messages_total: Counter,
     samples_total: Counter,
     dropped_total: Counter,
-    queue_depth: Gauge,
-    drain_deferred_total: Counter,
 }
 
 impl CollectorMetrics {
@@ -50,8 +49,6 @@ impl CollectorMetrics {
             messages_total: telemetry.counter("cpi_collector_messages_total", &[]),
             samples_total: telemetry.counter("cpi_collector_samples_total", &[]),
             dropped_total: telemetry.counter("cpi_collector_dropped_total", &[]),
-            queue_depth: telemetry.gauge("cpi_collector_queue_depth", &[]),
-            drain_deferred_total: telemetry.counter("cpi_collector_drain_deferred_total", &[]),
         }
     }
 }
@@ -239,13 +236,11 @@ impl RetryQueue {
 /// sinks.
 #[derive(Debug)]
 pub struct Collector {
-    tx: Sender<AgentMessage>,
+    tx: SyncSender<AgentMessage>,
     rx: Receiver<AgentMessage>,
     samples: Vec<CpiSample>,
     incidents: Vec<Incident>,
     dropped: Arc<AtomicU64>,
-    drain_budget: Option<usize>,
-    deferred: u64,
     metrics: CollectorMetrics,
 }
 
@@ -259,50 +254,15 @@ impl Collector {
     /// Creates a collector whose handles report ingest/drop counters to
     /// `telemetry`.
     pub fn with_telemetry(capacity: usize, telemetry: &Telemetry) -> Self {
-        let (tx, rx) = bounded(capacity);
+        let (tx, rx) = sync_channel(capacity);
         Collector {
             tx,
             rx,
             samples: Vec::new(),
             incidents: Vec::new(),
             dropped: Arc::new(AtomicU64::new(0)),
-            drain_budget: None,
-            deferred: 0,
             metrics: CollectorMetrics::new(telemetry),
         }
-    }
-
-    /// Caps how many queued messages a single [`drain`](Self::drain) or
-    /// [`drain_into`](Self::drain_into) call may process. `None` (the
-    /// default) drains everything — the behaviour every existing caller
-    /// and golden trace assumes. A resident deployment (the serve
-    /// harness) sets a budget so one flooded tick cannot stall the loop;
-    /// messages left queued are counted as *deferred*, not lost — the
-    /// next drain picks them up.
-    pub fn set_drain_budget(&mut self, budget: Option<usize>) {
-        self.drain_budget = budget;
-    }
-
-    /// Messages currently queued and awaiting a drain.
-    pub fn queue_depth(&self) -> usize {
-        self.rx.len()
-    }
-
-    /// Messages that hit a drain-budget ceiling and were left queued for
-    /// a later drain (cumulative; each deferral of the same message
-    /// counts once per drain call that skipped it).
-    pub fn deferred(&self) -> u64 {
-        self.deferred
-    }
-
-    /// Refreshes the queue-depth gauge and, when `deferred > 0`, the
-    /// deferred counter. Called at the end of every drain.
-    fn note_drain_end(&mut self, deferred: u64) {
-        if deferred > 0 {
-            self.deferred += deferred;
-            self.metrics.drain_deferred_total.add(deferred);
-        }
-        self.metrics.queue_depth.set(self.rx.len() as f64);
     }
 
     /// A handle for an agent to send through.
@@ -314,42 +274,29 @@ impl Collector {
         }
     }
 
-    /// Drains queued messages into the internal buffers, up to the drain
-    /// budget (all of them when unbudgeted). Returns how many messages
-    /// were processed.
+    /// Drains every queued message into the internal buffers. Returns how
+    /// many messages were processed.
     pub fn drain(&mut self) -> usize {
-        let budget = self.drain_budget.unwrap_or(usize::MAX);
         let mut n = 0;
-        while n < budget {
-            let Ok(msg) = self.rx.try_recv() else {
-                break;
-            };
+        while let Ok(msg) = self.rx.try_recv() {
             match msg {
                 AgentMessage::Samples(s) => self.samples.extend(s),
                 AgentMessage::Incidents(i) => self.incidents.extend(i),
             }
             n += 1;
         }
-        self.note_drain_end(self.rx.len() as u64);
         n
     }
 
-    /// Drains queued sample batches straight into `agg`, bypassing the
+    /// Drains every queued sample batch straight into `agg`, bypassing the
     /// internal sample buffer; incidents still land in the incident
     /// buffer. Each queued batch reaches the aggregator as one
     /// [`Aggregator::ingest`] call, so the sharded builder locks each
     /// shard at most once per batch. Returns the number of samples
     /// ingested.
-    /// Like [`drain`](Self::drain), respects the drain budget: at most
-    /// `budget` queued *messages* are processed per call.
     pub fn drain_into(&mut self, agg: &mut Aggregator) -> usize {
-        let budget = self.drain_budget.unwrap_or(usize::MAX);
-        let mut msgs = 0;
         let mut n = 0;
-        while msgs < budget {
-            let Ok(msg) = self.rx.try_recv() else {
-                break;
-            };
+        while let Ok(msg) = self.rx.try_recv() {
             match msg {
                 AgentMessage::Samples(s) => {
                     n += s.len();
@@ -357,9 +304,7 @@ impl Collector {
                 }
                 AgentMessage::Incidents(i) => self.incidents.extend(i),
             }
-            msgs += 1;
         }
-        self.note_drain_end(self.rx.len() as u64);
         n
     }
 
@@ -521,55 +466,17 @@ mod tests {
     }
 
     #[test]
-    fn drain_budget_defers_excess_messages() {
-        let tel = Telemetry::enabled();
-        let mut c = Collector::with_telemetry(64, &tel);
-        let h = c.handle();
-        for t in 0..10u64 {
-            assert!(h.send_samples(vec![sample(t)]));
-        }
-        assert_eq!(c.queue_depth(), 10);
-        c.set_drain_budget(Some(4));
-        assert_eq!(c.drain(), 4);
-        assert_eq!(c.queue_depth(), 6);
-        assert_eq!(c.deferred(), 6);
-        let text = tel.prometheus_text().unwrap();
-        assert!(text.contains("cpi_collector_queue_depth 6"), "{text}");
-        assert!(
-            text.contains("cpi_collector_drain_deferred_total 6"),
-            "{text}"
-        );
-        // Deferred messages are not lost: later drains pick them up.
-        assert_eq!(c.drain(), 4);
-        assert_eq!(c.drain(), 2);
-        assert_eq!(c.take_samples().len(), 10);
-        assert_eq!(c.queue_depth(), 0);
-        let text = tel.prometheus_text().unwrap();
-        assert!(text.contains("cpi_collector_queue_depth 0"), "{text}");
-    }
-
-    #[test]
-    fn drain_into_respects_budget() {
+    fn drain_into_empties_the_queue_in_one_call() {
         use cpi2_core::Cpi2Config;
 
         let mut c = Collector::new(64);
         let h = c.handle();
         for t in 0..8u64 {
-            assert!(h.send_samples(vec![sample(t), sample(t + 100)]));
-        }
-        c.set_drain_budget(Some(3));
-        let mut agg = Aggregator::new(Cpi2Config::default(), 0);
-        // 3 messages x 2 samples per call.
-        assert_eq!(c.drain_into(&mut agg), 6);
-        assert_eq!(c.drain_into(&mut agg), 6);
-        assert_eq!(c.drain_into(&mut agg), 4);
-        assert_eq!(agg.samples_seen(), 16);
-        // Unbudgeted (default) drains everything in one call.
-        c.set_drain_budget(None);
-        for t in 0..8u64 {
             assert!(h.send_samples(vec![sample(t)]));
         }
+        let mut agg = Aggregator::new(Cpi2Config::default(), 0);
         assert_eq!(c.drain_into(&mut agg), 8);
+        assert_eq!(c.drain_into(&mut agg), 0);
     }
 
     #[test]

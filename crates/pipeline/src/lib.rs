@@ -5,12 +5,12 @@
 //! The per-job, per-platform aggregated CPI values are then sent back to
 //! each machine that is running a task from that job."
 //!
-//! * [`collector`] — machine agents → cluster collector (crossbeam
-//!   channels; lossy under back-pressure by design).
+//! * [`collector`] — machine agents → cluster collector (a bounded
+//!   `std::sync::mpsc` channel; lossy under back-pressure by design).
 //! * [`aggregator`] — the spec aggregation service on its refresh cadence.
 //! * [`specstore`] — versioned spec storage + delta distribution back to
 //!   agents.
-//! * [`log`] — append-only typed tables with a JSONL wire format.
+//! * [`filelog`] — durable, size-rotated JSONL logs for forensics.
 //! * [`query`] — the Dremel-like SQL engine for performance forensics
 //!   (§5's "most aggressive antagonists for a job" queries).
 
@@ -19,13 +19,11 @@
 pub mod aggregator;
 pub mod collector;
 pub mod filelog;
-pub mod log;
 pub mod query;
 pub mod specstore;
 
 pub use aggregator::Aggregator;
 pub use collector::{AgentMessage, Collector, CollectorHandle, RetryPolicy, RetryQueue};
 pub use filelog::FileLog;
-pub use log::LogTable;
 pub use query::{Dataset, QueryError, QueryResult, Table, Value};
 pub use specstore::{SpecSnapshot, SpecStore};

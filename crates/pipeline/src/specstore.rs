@@ -12,10 +12,10 @@
 //! half-applied) refresh.
 
 use cpi2_core::{CpiSpec, JobKey};
+use cpi2_telemetry::sync::{MutexExt, RwLockExt};
 use cpi2_telemetry::{Counter, Histo, Telemetry};
-use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// How many past snapshots the store retains for [`SpecStore::lagged_snapshot`]
 /// (fault injection serves reads from a bounded distance behind head).
@@ -134,7 +134,7 @@ impl SpecStore {
     /// The current snapshot, for lock-free reading.
     pub fn snapshot(&self) -> SpecSnapshot {
         SpecSnapshot {
-            inner: Arc::clone(&self.current.read()),
+            inner: Arc::clone(&self.current.read_locked()),
         }
     }
 
@@ -153,10 +153,10 @@ impl SpecStore {
     /// stamp to age their cached copies ([`SpecSnapshot::changed_since_with_age`]).
     /// Returns the new version.
     pub fn publish_at(&self, specs: Vec<CpiSpec>, now_us: i64) -> u64 {
-        let _publishing = self.publish_lock.lock();
+        let _publishing = self.publish_lock.locked();
         // lint: allow(nested-lock) — read guard is a temporary dropped at
         // statement end; publishers serialize on publish_lock by design.
-        let cur = Arc::clone(&self.current.read());
+        let cur = Arc::clone(&self.current.read_locked());
         let mut next = Inner {
             version: cur.version + 1,
             specs: cur.specs.clone(),
@@ -175,7 +175,7 @@ impl SpecStore {
         let next = Arc::new(next);
         // lint: allow(nested-lock) — history is only ever locked alone or
         // under publish_lock, never while holding `current`.
-        let mut history = self.history.lock();
+        let mut history = self.history.locked();
         if history.len() == SNAPSHOT_HISTORY {
             history.pop_front();
         }
@@ -184,7 +184,7 @@ impl SpecStore {
         // lint: allow(nested-lock) — the single-pointer swap under the
         // publish lock IS the snapshot-swap protocol; writers never block
         // readers for longer than the store.
-        *self.current.write() = next;
+        *self.current.write_locked() = next;
         self.swaps_total.inc();
         v
     }
@@ -224,7 +224,7 @@ impl SpecStore {
         if lag == 0 {
             return self.snapshot();
         }
-        let history = self.history.lock();
+        let history = self.history.locked();
         match history.len().checked_sub(lag + 1) {
             Some(idx) => SpecSnapshot {
                 inner: Arc::clone(&history[idx]),

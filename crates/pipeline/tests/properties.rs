@@ -1,7 +1,7 @@
 //! Property-based tests for the pipeline: log encoding and query engine.
 
 use cpi2_pipeline::query::{Row, Value};
-use cpi2_pipeline::{Dataset, LogTable, Table};
+use cpi2_pipeline::{Dataset, FileLog, Table};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -20,6 +20,26 @@ fn rec_strategy() -> impl Strategy<Value = Rec> {
     })
 }
 
+/// Strings with JSON's escape-worthy characters (quotes, backslashes,
+/// newlines, tabs, non-ASCII) and unrestricted finite `f64`s.
+fn jsonl_rec_strategy() -> impl Strategy<Value = Rec> {
+    ("[ -~\n\té☃]{0,16}", any::<f64>(), any::<bool>()).prop_map(|(job, cpi, acted)| Rec {
+        job,
+        cpi,
+        acted,
+    })
+}
+
+/// A fresh directory per call, unique within this process.
+fn tmp_dir() -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("cpi2_props_{}_{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 fn table(recs: &[Rec]) -> Dataset {
     let mut ds = Dataset::new();
     ds.insert_records("t", recs).unwrap();
@@ -28,12 +48,17 @@ fn table(recs: &[Rec]) -> Dataset {
 
 proptest! {
     #[test]
-    fn jsonl_roundtrip(recs in prop::collection::vec(rec_strategy(), 0..50)) {
-        let mut t = LogTable::new("t");
-        t.extend(recs.clone());
-        let bytes = t.to_jsonl().unwrap();
-        let back: LogTable<Rec> = LogTable::from_jsonl("t", &bytes).unwrap();
-        prop_assert_eq!(back.rows(), t.rows());
+    fn jsonl_roundtrip(recs in prop::collection::vec(jsonl_rec_strategy(), 0..50)) {
+        // A small segment size makes the log rotate mid-sequence too.
+        let dir = tmp_dir();
+        let mut log = FileLog::open(&dir, "t", 256).unwrap();
+        for r in &recs {
+            log.append(r).unwrap();
+        }
+        log.flush().unwrap();
+        let back: Vec<Rec> = FileLog::load(&dir, "t").unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!(back, recs);
     }
 
     #[test]

@@ -21,9 +21,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cpi2::core::{CpiSample, CpiSpec};
+use cpi2::telemetry::sync::MutexExt;
 use cpi2::telemetry::Telemetry;
-use parking_lot::Mutex;
 use serde::Serialize;
+use std::sync::Mutex;
 
 /// One resident task, as seen on a machine page.
 #[derive(Debug, Clone, Serialize)]
@@ -257,7 +258,7 @@ impl LiveState {
     /// Atomically replaces the current base snapshot, discarding any
     /// layered deltas (a *full* publish).
     pub fn publish(&self, snap: LiveSnapshot) {
-        let mut c = self.cell.lock();
+        let mut c = self.cell.locked();
         c.base = Arc::new(snap);
         c.deltas.clear();
         c.merged = None;
@@ -266,7 +267,7 @@ impl LiveState {
 
     /// Layers one per-tick delta over the current base.
     pub fn publish_delta(&self, delta: DeltaSnapshot) {
-        let mut c = self.cell.lock();
+        let mut c = self.cell.locked();
         c.deltas.push(Arc::new(delta));
         c.merged = None;
         c.generation += 1;
@@ -276,7 +277,7 @@ impl LiveState {
     /// itself runs at most once per publish).
     pub fn snapshot(&self) -> Arc<LiveSnapshot> {
         let (base, deltas, generation) = {
-            let c = self.cell.lock();
+            let c = self.cell.locked();
             if let Some(m) = &c.merged {
                 return Arc::clone(m);
             }
@@ -286,7 +287,7 @@ impl LiveState {
             (Arc::clone(&c.base), c.deltas.clone(), c.generation)
         };
         let merged = Arc::new(merge(&base, &deltas));
-        let mut c = self.cell.lock();
+        let mut c = self.cell.locked();
         if c.generation == generation {
             c.merged = Some(Arc::clone(&merged));
         }
@@ -295,7 +296,7 @@ impl LiveState {
 
     /// Deltas currently layered over the base (tests and diagnostics).
     pub fn delta_depth(&self) -> usize {
-        self.cell.lock().deltas.len()
+        self.cell.locked().deltas.len()
     }
 }
 
@@ -346,13 +347,13 @@ pub struct ActionQueue {
 impl ActionQueue {
     /// Enqueues an action; returns its 1-based acceptance sequence number.
     pub fn push(&self, action: OperatorAction) -> u64 {
-        self.q.lock().push_back(action);
+        self.q.locked().push_back(action);
         self.accepted.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Takes every queued action, FIFO order.
     pub fn drain(&self) -> Vec<OperatorAction> {
-        self.q.lock().drain(..).collect()
+        self.q.locked().drain(..).collect()
     }
 
     /// Actions accepted since boot.
@@ -362,7 +363,7 @@ impl ActionQueue {
 
     /// Actions currently awaiting a tick.
     pub fn pending(&self) -> usize {
-        self.q.lock().len()
+        self.q.locked().len()
     }
 }
 

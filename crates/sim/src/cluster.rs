@@ -235,11 +235,6 @@ impl Cluster {
         self.machines.get(id.0 as usize)
     }
 
-    /// Mutable machine access (agents apply caps through this).
-    pub fn machine_mut(&mut self, id: MachineId) -> Option<&mut Machine> {
-        self.machines.get_mut(id.0 as usize)
-    }
-
     /// The scheduler (to add anti-affinity constraints or switch policy).
     pub fn scheduler_mut(&mut self) -> &mut Scheduler {
         &mut self.scheduler
@@ -342,11 +337,6 @@ impl Cluster {
             .get(&task.job)
             .and_then(|j| j.placements.get(&task.index))
             .map(|&(m, _)| m)
-    }
-
-    /// The spec of a job.
-    pub fn job_spec(&self, job: JobId) -> Option<&JobSpec> {
-        self.jobs.get(&job).map(|j| &j.spec)
     }
 
     /// Iterates `(JobId, &JobSpec)` for all submitted jobs.

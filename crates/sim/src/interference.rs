@@ -124,80 +124,37 @@ impl ProfileColumns {
     }
 }
 
-/// Reusable intermediate buffers for [`compute_into`], so the per-tick
-/// fixed point runs without allocating. One instance per machine lives in
-/// its tick scratch and is reused across ticks.
-#[derive(Debug, Default)]
-pub struct ComputeScratch {
-    /// Profile fields split into columns.
-    cols: ProfileColumns,
-    /// Per-task activity column.
-    activity: Vec<f64>,
-    /// Per-task effective MPKI after cache loss.
-    mpki: Vec<f64>,
-    /// Per-task CPI estimate, refined by the bandwidth fixed point.
-    cpi: Vec<f64>,
-}
-
 /// Computes per-task CPI and miss rates for one tick.
 ///
 /// Returns one [`TaskInterference`] per input (same order) plus a machine
 /// summary. Tasks with zero activity get their solo numbers.
 ///
-/// Allocating convenience wrapper around [`compute_into`]; hot paths hold
-/// a [`ComputeScratch`] and call `compute_into` directly.
+/// An allocating array-of-structs adapter over [`compute_cols`], the
+/// kernel the machine tick runs: it splits the loads into columns, runs
+/// the columnar kernel, and reassembles per-task structs.
 pub fn compute(
     platform: &Platform,
     loads: &[TaskLoad],
     params: &InterferenceParams,
 ) -> (Vec<TaskInterference>, ContentionSummary) {
-    let mut out = Vec::with_capacity(loads.len());
-    let mut scratch = ComputeScratch::default();
-    let summary = compute_into(platform, loads, params, &mut out, &mut scratch);
-    (out, summary)
-}
-
-/// [`compute`], but writing into caller-owned buffers: `out` is cleared
-/// and filled with one [`TaskInterference`] per input (same order), and
-/// `scratch` provides the fixed point's intermediate storage. In steady
-/// state (capacities warmed up) this performs no heap allocation.
-///
-/// Bit-identical to [`compute`] for every input: the arithmetic and its
-/// evaluation order are unchanged, only the storage is caller-owned
-/// (property-tested against a pinned reference implementation). This is
-/// now a thin array-of-structs adapter over [`compute_cols`]: it splits
-/// the loads into columns, runs the columnar kernel, and reassembles
-/// per-task structs.
-// lint: hot-path
-pub fn compute_into(
-    platform: &Platform,
-    loads: &[TaskLoad],
-    params: &InterferenceParams,
-    out: &mut Vec<TaskInterference>,
-    scratch: &mut ComputeScratch,
-) -> ContentionSummary {
-    out.clear();
-    let ComputeScratch {
-        cols,
-        activity,
-        mpki,
-        cpi,
-    } = scratch;
-    cols.clear();
-    activity.clear();
+    let mut cols = ProfileColumns::default();
+    let mut activity = Vec::with_capacity(loads.len());
     for l in loads {
         activity.push(l.activity);
         cols.push(&l.profile);
     }
-    let (summary, retained) = compute_cols(platform, activity, cols, params, cpi, mpki);
-    for (&c, &m) in cpi.iter().zip(mpki.iter()) {
-        out.push(TaskInterference {
-            cpi: c,
-            mpki: m,
+    let (mut cpi, mut mpki) = (Vec::new(), Vec::new());
+    let (summary, retained) = compute_cols(platform, &activity, &cols, params, &mut cpi, &mut mpki);
+    let out = cpi
+        .into_iter()
+        .zip(mpki)
+        .map(|(cpi, mpki)| TaskInterference {
+            cpi,
+            mpki,
             cache_retained: retained,
-        });
-    }
-    summary
+        })
+        .collect();
+    (out, summary)
 }
 
 /// The columnar interference kernel: per-task CPI and MPKI for one tick,

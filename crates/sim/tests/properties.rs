@@ -1,7 +1,7 @@
 //! Property-based tests for the cluster simulator's invariants.
 
 use cpi2_sim::interference::{
-    self, ComputeScratch, ContentionSummary, InterferenceParams, TaskInterference, TaskLoad,
+    self, ContentionSummary, InterferenceParams, ProfileColumns, TaskInterference, TaskLoad,
 };
 use cpi2_sim::{
     Cgroup, ConstantLoad, JobId, Machine, MachineId, Platform, Priority, ResourceProfile,
@@ -261,11 +261,11 @@ proptest! {
     }
 }
 
-// --- compute_into vs the pre-scratch reference ---------------------------
+// --- the interference kernel vs the pre-columnar reference --------------
 
 /// The interference model as it was before the allocation-free refactor,
-/// pinned verbatim: per-call `Vec` storage, identical arithmetic. The
-/// refactored `compute_into` must match it bit for bit.
+/// pinned verbatim: per-call `Vec` storage, identical arithmetic. Both
+/// `compute` and the columnar `compute_cols` must match it bit for bit.
 fn reference_compute(
     platform: &Platform,
     loads: &[TaskLoad],
@@ -368,7 +368,7 @@ fn assert_bits_equal(
 
 proptest! {
     #[test]
-    fn compute_into_bit_identical_to_reference(
+    fn compute_bit_identical_to_reference(
         loads in loads_strategy(16),
         idle_flag in 0..2u8,
     ) {
@@ -387,18 +387,32 @@ proptest! {
             let (got, got_sum) = interference::compute(&platform, &loads, &params);
             assert_bits_equal(&got, &got_sum, &want, &want_sum)?;
 
-            // Caller-owned buffers, deliberately dirtied by a different
-            // prior computation: reuse must not leak state between calls.
-            let mut out = Vec::new();
-            let mut scratch = ComputeScratch::default();
+            // The columnar kernel with caller-owned `cpi`/`mpki` buffers,
+            // deliberately dirtied by a different prior computation: reuse
+            // must not leak state between calls.
+            let columns = |loads: &[TaskLoad]| {
+                let mut cols = ProfileColumns::default();
+                for l in loads {
+                    cols.push(&l.profile);
+                }
+                (loads.iter().map(|l| l.activity).collect::<Vec<_>>(), cols)
+            };
+            let (mut cpi, mut mpki) = (Vec::new(), Vec::new());
             let decoys = [
                 TaskLoad { activity: 6.0, profile: ResourceProfile::streaming() },
                 TaskLoad { activity: 3.0, profile: ResourceProfile::cache_heavy() },
             ];
-            interference::compute_into(&platform, &decoys, &params, &mut out, &mut scratch);
-            let got_sum2 =
-                interference::compute_into(&platform, &loads, &params, &mut out, &mut scratch);
-            assert_bits_equal(&out, &got_sum2, &want, &want_sum)?;
+            let (activity, cols) = columns(&decoys);
+            interference::compute_cols(&platform, &activity, &cols, &params, &mut cpi, &mut mpki);
+            let (activity, cols) = columns(&loads);
+            let (got_sum2, retained) =
+                interference::compute_cols(&platform, &activity, &cols, &params, &mut cpi, &mut mpki);
+            let got2: Vec<TaskInterference> = cpi
+                .iter()
+                .zip(&mpki)
+                .map(|(&cpi, &mpki)| TaskInterference { cpi, mpki, cache_retained: retained })
+                .collect();
+            assert_bits_equal(&got2, &got_sum2, &want, &want_sum)?;
         }
     }
 }

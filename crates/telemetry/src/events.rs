@@ -7,8 +7,9 @@
 //! oldest beyond that, so a long run cannot grow memory without bound.
 
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use crate::sync::MutexExt;
 
 /// Default number of events retained by the ring.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
@@ -50,7 +51,7 @@ impl EventRing {
     }
 
     pub(crate) fn push(&self, event: Event) {
-        let mut state = self.inner.lock();
+        let mut state = self.inner.locked();
         if state.buf.len() == state.capacity {
             state.buf.pop_front();
         }
@@ -60,12 +61,12 @@ impl EventRing {
 
     /// Snapshot of retained events, oldest first.
     pub(crate) fn snapshot(&self) -> Vec<Event> {
-        self.inner.lock().buf.iter().cloned().collect()
+        self.inner.locked().buf.iter().cloned().collect()
     }
 
     /// Total events ever recorded (including evicted ones).
     pub(crate) fn total(&self) -> u64 {
-        self.inner.lock().total
+        self.inner.locked().total
     }
 }
 

@@ -14,6 +14,7 @@ use std::fmt::Write as _;
 use serde::{Number, Value};
 
 use crate::registry::{Registry, SeriesKey};
+use crate::sync::MutexExt;
 
 /// Quantiles reported for every histogram.
 pub const EXPORT_QUANTILES: [f64; 3] = [0.5, 0.95, 0.99];
@@ -68,12 +69,12 @@ pub(crate) fn prometheus_text(reg: &Registry) -> String {
 
     let mut out = String::new();
     let mut last_family = String::new();
-    for ((name, labels), cell) in reg.counters.lock().iter() {
+    for ((name, labels), cell) in reg.counters.locked().iter() {
         header(&mut out, &mut last_family, name, "counter");
         let _ = writeln!(out, "{name}{} {}", label_block(labels, None), cell.get());
     }
     last_family.clear();
-    for ((name, labels), cell) in reg.gauges.lock().iter() {
+    for ((name, labels), cell) in reg.gauges.locked().iter() {
         header(&mut out, &mut last_family, name, "gauge");
         let _ = writeln!(
             out,
@@ -83,7 +84,7 @@ pub(crate) fn prometheus_text(reg: &Registry) -> String {
         );
     }
     last_family.clear();
-    for ((name, labels), cell) in reg.histograms.lock().iter() {
+    for ((name, labels), cell) in reg.histograms.locked().iter() {
         header(&mut out, &mut last_family, name, "summary");
         if cell.count() > 0 {
             for q in EXPORT_QUANTILES {
@@ -123,7 +124,7 @@ fn series_name(key: &SeriesKey) -> String {
 pub(crate) fn json_snapshot(reg: &Registry) -> Value {
     let counters: Vec<(String, Value)> = reg
         .counters
-        .lock()
+        .locked()
         .iter()
         .map(|(key, cell)| {
             (
@@ -134,13 +135,13 @@ pub(crate) fn json_snapshot(reg: &Registry) -> Value {
         .collect();
     let gauges: Vec<(String, Value)> = reg
         .gauges
-        .lock()
+        .locked()
         .iter()
         .map(|(key, cell)| (series_name(key), json_f64(cell.get())))
         .collect();
     let histograms: Vec<(String, Value)> = reg
         .histograms
-        .lock()
+        .locked()
         .iter()
         .map(|(key, cell)| {
             let mut fields = vec![

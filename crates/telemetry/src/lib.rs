@@ -49,6 +49,7 @@ mod events;
 mod export;
 mod metrics;
 mod registry;
+pub mod sync;
 
 use std::sync::Arc;
 

@@ -6,13 +6,12 @@
 //! updates go straight to the shared atomic cells.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::events::EventRing;
 use crate::metrics::{Counter, CounterCell, Gauge, GaugeCell, Histo, HistoCell};
+use crate::sync::MutexExt;
 
 /// Key of one metric series: name plus label pairs sorted by label key.
 pub(crate) type SeriesKey = (String, Vec<(String, String)>);
@@ -41,19 +40,19 @@ impl Registry {
 
     pub(crate) fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = series_key(name, labels);
-        let cell = Arc::clone(self.counters.lock().entry(key).or_default());
+        let cell = Arc::clone(self.counters.locked().entry(key).or_default());
         Counter(Some(cell))
     }
 
     pub(crate) fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let key = series_key(name, labels);
-        let cell = Arc::clone(self.gauges.lock().entry(key).or_default());
+        let cell = Arc::clone(self.gauges.locked().entry(key).or_default());
         Gauge(Some(cell))
     }
 
     pub(crate) fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histo {
         let key = series_key(name, labels);
-        let cell = Arc::clone(self.histograms.lock().entry(key).or_default());
+        let cell = Arc::clone(self.histograms.locked().entry(key).or_default());
         Histo(Some(cell))
     }
 

@@ -590,11 +590,6 @@ impl Cpi2Harness {
         self.retry_queue.pending()
     }
 
-    /// Sample batches abandoned after exhausting collector retries.
-    pub fn shipments_abandoned(&self) -> u64 {
-        self.retry_queue.abandoned_batches()
-    }
-
     /// The spec-store version a machine's agent has synced up to (`None`
     /// if the machine has no live agent yet).
     pub fn agent_spec_version(&self, machine: MachineId) -> Option<u64> {
